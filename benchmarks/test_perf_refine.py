@@ -15,6 +15,10 @@ on the already-programmed grid, repeat.  The acceptance bars:
 * refinement cost stays proportional: a refined solve is at most
   ``(steps + 1) × (1 + slack)`` the wall-clock of the plain analog solve.
 
+The artifact also records the sweep counts of the plain and the refined
+solve and the mean sweeps per correction: each correction stops once its
+sweep update falls under the residual floor the base solve measured.
+
 Measured numbers land in ``BENCH_refine.json`` with the invariants
 embedded, so CI re-validates the accuracy claim from the artifact itself
 (``benchmarks/check_invariants.py``).
@@ -130,6 +134,12 @@ def test_perf_refined_blocked_solve(bench_payload, best_of):
         "residual_improvement": improvement,
         "refine_steps": refined.refine_steps,
         "refine_dispatches": refine_dispatches,
+        "analog_sweeps": analog.sweeps,
+        "refined_sweeps": refined.sweeps,
+        # Base sweeps taken as the plain solve's: a correction stops at the
+        # residual floor the base solve measured, a few sweeps each.
+        "sweeps_per_correction": (refined.sweeps - analog.sweeps)
+        / max(refined.refine_steps, 1),
         "residual_trace": list(refined.refine_residual_trace),
         "analog_seconds": t_analog,
         "refined_seconds": t_refined,
@@ -144,6 +154,7 @@ def test_perf_refined_blocked_solve(bench_payload, best_of):
         f"\nrefined blocked INV {_SIZE}x{_SIZE}, {_COLUMNS} RHS: analog "
         f"floor {analog_floor:.2e} -> {achieved:.2e} in "
         f"{refined.refine_steps} steps ({improvement:.1e}x better, "
+        f"{refined.sweeps} sweeps vs {analog.sweeps} analog, "
         f"{reprogramming} reprogramming events; refined solve "
         f"{t_refined / t_analog:.1f}x the analog wall-clock)"
     )

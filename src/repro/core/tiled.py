@@ -519,7 +519,9 @@ class TiledOperator:
     ) -> SolveResult:
         """Blocked analog solve with fault supervision when a plan is set
         (observe → heal → one retry → structured ``DegradedChipError``);
-        see :meth:`_solve_impl` for the sweep semantics."""
+        see :meth:`_solve_impl` for the sweep semantics and the ``rtol``
+        refinement contract, whose corrections stop at the residual floor
+        the base solve measured."""
         injector = self._fault_injector()
         if injector is None:
             return self._solve_impl(
@@ -588,7 +590,13 @@ class TiledOperator:
         ``inf`` entries skip refinement).  ``refine_steps`` /
         ``refined_residual`` / ``per_column_converged`` /
         ``refine_residual_trace`` report the outcome; ``sweeps`` counts
-        base and correction sweeps together.  Raises
+        base and correction sweeps together.  A correction needs only
+        the accuracy the grid delivers, so it stops once its relative
+        update falls under ``max(tolerance, residual_floor)`` of the base
+        solve — 3–4 sweeps, not a re-sweep until the stall detector
+        fires (on ``perfbench``'s ``solve_refined``: ~37 sweeps and ~430
+        dispatches per refined op instead of ~73 and ~860, same ~9
+        steps).  Raises
         :class:`~repro.core.errors.ConvergenceError` (step trace
         attached) when refinement diverges.
         """
@@ -690,13 +698,18 @@ class TiledOperator:
                 # per-column arrays describe the base analog step, the scalar
                 # attempts/stable/saturated fold corrections in.
                 correction_sweeps = 0
+                # A correction only needs the accuracy the analog grid can
+                # deliver (refinement contracts by that factor per step):
+                # sweeping past the floor the base solve just measured
+                # re-draws noise without improving the direction.
+                correction_tolerance = max(tolerance, result.residual_floor)
 
                 def correction(residual: np.ndarray) -> SimpleNamespace:
                     nonlocal correction_sweeps
                     corr_stats = _SweepStats(residual.shape[1])
                     xc, csweeps, _ = self._run_sweeps(
                         residual, corr_stats,
-                        tolerance=tolerance, max_sweeps=max_sweeps,
+                        tolerance=correction_tolerance, max_sweeps=max_sweeps,
                         gauss_seidel=gauss_seidel, grid=grid,
                     )
                     correction_sweeps += csweeps

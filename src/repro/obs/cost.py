@@ -32,6 +32,7 @@ attached, so ``result.cost`` is never None-surprising.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 __all__ = ["CostAccumulator", "SolveCost"]
 
@@ -87,18 +88,35 @@ class SolveCost:
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(SolveCost)}
 
-    def scaled(self, fraction: float) -> "SolveCost":
-        """A proportional share of this cost (coalesced-batch slicing).
+    def apportion(self, weights: "Sequence[int]") -> "list[SolveCost]":
+        """Shares of this cost proportional to ``weights`` (coalesced-batch
+        slicing: one weight per caller, its column count).
 
-        Column counts of a coalesced engine call are attributed to each
-        caller by their column fraction; integer counters round to the
-        nearest integer so a full-batch sum stays within ±len(requests).
+        Float fields split proportionally.  Each integer counter is split
+        by largest remainder: every share gets the floor of its quota and
+        the units left over go to the largest remainders, ties to the
+        earlier share — so the shares of every counter sum *exactly* to
+        this cost's count.  All-zero ``weights`` get all-zero shares.
         """
-        out = SolveCost()
+        total = sum(weights)
+        shares = [SolveCost() for _ in weights]
+        if total <= 0:
+            return shares
         for f in fields(SolveCost):
-            value = getattr(self, f.name) * fraction
-            setattr(out, f.name, round(value) if f.type == "int" else value)
-        return out
+            value = getattr(self, f.name)
+            if f.type != "int":
+                for share, weight in zip(shares, weights):
+                    setattr(share, f.name, value * weight / total)
+                continue
+            counts = [value * weight // total for weight in weights]
+            by_remainder = sorted(
+                range(len(weights)), key=lambda i: -(value * weights[i] % total)
+            )
+            for i in by_remainder[: value - sum(counts)]:
+                counts[i] += 1
+            for share, count in zip(shares, counts):
+                setattr(share, f.name, count)
+        return shares
 
 
 class CostAccumulator:

@@ -23,9 +23,12 @@ future with :class:`~repro.serve.types.ColumnRangingError`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.results import SolveResult
+from repro.obs.cost import SolveCost
 from repro.serve.tenancy import TenantRegistry
 from repro.serve.types import ColumnRangingError, SolveRequest
 
@@ -113,9 +116,10 @@ class CoalescedBatch:
 
     def scatter(self, result: SolveResult, registry: TenantRegistry) -> None:
         """Slice the batched result back to each caller's future."""
+        costs = self._cost_shares(result.cost)
         if self.kind == "eigvec":
-            for request in self.requests:
-                self._resolve_one(request, result, registry)
+            for request, cost in zip(self.requests, costs):
+                self._resolve_one(request, replace(result, cost=cost), registry)
             return
         column_saturated = result.column_saturated
         if column_saturated is None:
@@ -126,17 +130,46 @@ class CoalescedBatch:
         per_column_attempts = result.per_column_attempts
         if per_column_attempts is None:
             per_column_attempts = np.full(self.columns, int(result.attempts))
-        for request, (start, stop) in zip(self.requests, self._spans):
+        for request, (start, stop), cost in zip(self.requests, self._spans, costs):
             sliced = self._slice(
                 result,
                 start,
                 stop,
                 request,
+                cost,
                 column_saturated,
                 input_scales,
                 per_column_attempts,
             )
             self._resolve_one(request, sliced, registry)
+
+    def _cost_shares(self, cost: SolveCost | None) -> "list[SolveCost | None]":
+        """Each caller's share of the window's cost, summing exactly to it.
+
+        Engine work is split by column; refinement only among the callers
+        that contracted for it — an rtol-less rider is never touched by
+        correction solves.  Every integer counter is apportioned by
+        largest remainder (:meth:`SolveCost.apportion`), so a window of
+        many callers and few engine dispatches still accounts for every
+        dispatch.  Queue wait is each caller's *own*: siblings that
+        arrived earlier waited longer for the same dispatch."""
+        if cost is None:
+            return [None] * len(self.requests)
+        shares = cost.apportion([request.columns for request in self.requests])
+        refining = [
+            request.columns if request.rtol is not None else 0
+            for request in self.requests
+        ]
+        if any(refining):
+            refinement = SolveCost(
+                refine_macs=cost.refine_macs, refine_steps=cost.refine_steps
+            ).apportion(refining)
+            for share, refined in zip(shares, refinement):
+                share.refine_macs = refined.refine_macs
+                share.refine_steps = refined.refine_steps
+        for request, share in zip(self.requests, shares):
+            share.queue_wait_s = request.queue_wait_s
+        return shares
 
     def reject_all(self, error: BaseException, registry: TenantRegistry) -> None:
         """Fail every still-live future in the group with ``error``."""
@@ -179,6 +212,7 @@ class CoalescedBatch:
         start: int,
         stop: int,
         request: SolveRequest,
+        cost: SolveCost | None,
         column_saturated: np.ndarray,
         input_scales: np.ndarray,
         per_column_attempts: np.ndarray,
@@ -189,24 +223,6 @@ class CoalescedBatch:
         attempts = np.asarray(per_column_attempts[start:stop], dtype=int)
         saturated = np.asarray(column_saturated[start:stop], dtype=bool)
         refine = self._slice_refinement(result, start, stop, request)
-        # Cost attribution: each caller is charged its column share of the
-        # window's engine work, plus its *own* queue wait — siblings that
-        # arrived earlier waited longer for the same dispatch.
-        cost = None
-        if result.cost is not None:
-            cost = result.cost.scaled((stop - start) / max(self.columns, 1))
-            cost.queue_wait_s = request.queue_wait_s
-            # Refinement is paid only by the columns that contracted for
-            # it: an rtol-less rider is never touched by correction
-            # solves, so refining siblings split that work by column.
-            refining = sum(r.columns for r in self.requests if r.rtol is not None)
-            if request.rtol is None:
-                cost.refine_macs = 0
-                cost.refine_steps = 0
-            elif refining:
-                share = request.columns / refining
-                cost.refine_macs = round(result.cost.refine_macs * share)
-                cost.refine_steps = round(result.cost.refine_steps * share)
         if request.vector:
             return SolveResult(
                 mode=result.mode,

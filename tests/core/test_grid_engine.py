@@ -107,6 +107,45 @@ class TestEquivalence:
         assert float(np.linalg.norm(stacked.value - pertile.value)) <= 1e-6 * scale
         assert stacked.sweeps == pertile.sweeps
 
+    @pytest.mark.parametrize("method", ["jacobi", "gauss-seidel"])
+    def test_refined_solve_bitwise(self, method):
+        """Refinement corrections stop at the floor the base solve
+        measured; both engines measure the same floor from the same bits,
+        so the refined answer, sweep count and residual trace stay twins."""
+        with determinism.column_independent_apply(True):
+            stacked, pertile = _twin_solve(method, noisy=True, rtol=1e-10)
+        assert stacked.refine_steps > 0
+        assert np.array_equal(stacked.value, pertile.value)
+        assert stacked.sweeps == pertile.sweeps
+        assert stacked.refine_residual_trace == pertile.refine_residual_trace
+        assert stacked.per_column_converged.all()
+
+    @pytest.mark.parametrize(
+        "method, sweeps, total, weighted",
+        [
+            ("gauss-seidel", 7, 4.67560611869213, 377.6843302921682),
+            ("jacobi", 8, 4.670844124371038, 378.21739239224195),
+        ],
+    )
+    def test_plain_solve_is_pinned(self, method, sweeps, total, weighted):
+        """``solve(b)`` without ``rtol`` keeps its stop rule: the sweep
+        count and the answer recorded before refinement corrections got
+        their own stopping tolerance.  The values were bitwise equal when
+        recorded; the 1e-12 band only admits the last-ulp reduction-order
+        differences between CPUs, orders of magnitude under one noise
+        draw, so any change to the sweeps or their noise stream fails."""
+        matrix, b = _problem()
+        with determinism.column_independent_apply(True):
+            for engine in ("stacked", "pertile"):
+                op = _solver(noisy=True).compile(matrix, AMCMode.INV)
+                result = op.solve(b, method=method, engine=engine)
+                op.close()
+                value = result.value
+                assert result.sweeps == sweeps
+                assert float(value.sum()) == pytest.approx(total, rel=1e-12)
+                position = np.arange(value.size).reshape(value.shape)
+                assert float((value * position).sum()) == pytest.approx(weighted, rel=1e-12)
+
     def test_vector_rhs_bitwise(self):
         matrix, b = _problem()
         with determinism.column_independent_apply(True):

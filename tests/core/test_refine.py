@@ -281,6 +281,30 @@ class TestTiledOperatorRtol:
         assert refined.residual_floor <= 1e-9
         op.close()
 
+    @pytest.mark.parametrize("method", ["gauss-seidel", "jacobi"])
+    def test_corrections_stop_at_the_measured_floor(self, rng, method):
+        """A correction needs only the accuracy the analog grid delivers:
+        it stops once its sweep update falls under the residual floor the
+        base solve measured, a few sweeps per refinement step — not at
+        the base tolerance, which the floor never reaches, after waiting
+        out the stall detector."""
+        solver = _solver()
+        matrix = block_dominant(96, 32, rng=rng)
+        b = rng.uniform(-1, 1, (96, 6))
+        op = solver.compile(matrix, AMCMode.INV)
+        op.solve(b, method=method)
+        events_before = op.program_events
+        refined = op.solve(b, rtol=1e-10, method=method)
+        plain = op.solve(b, method=method)
+        assert refined.refine_steps > 0
+        assert refined.sweeps - plain.sweeps <= 4 * refined.refine_steps
+        # The contract still holds, on the resident grid.
+        assert op.program_events == events_before
+        residual = np.linalg.norm(b - matrix @ refined.value, axis=0)
+        assert (residual / np.linalg.norm(b, axis=0) <= 1e-10).all()
+        assert refined.per_column_converged.all()
+        op.close()
+
     def test_mixed_rtol_columns_refine_independently(self, rng):
         solver = _solver()
         matrix = block_dominant(64, 32, rng=rng)

@@ -30,13 +30,21 @@ class TestSolveCost:
         b.adc_conversions += 1
         assert a.adc_conversions == 3
 
-    def test_scaled_rounds_integer_counters(self):
-        cost = SolveCost(dac_conversions=10, analog_settling_s=1.0, refine_steps=3)
-        share = cost.scaled(0.25)
-        assert share.dac_conversions == 2  # round(2.5) banker's-rounds to 2
-        assert isinstance(share.dac_conversions, int)
-        assert share.analog_settling_s == pytest.approx(0.25)
-        assert share.refine_steps == 1
+    def test_apportion_sums_integer_counters_exactly(self):
+        cost = SolveCost(
+            dac_conversions=10, engine_dispatches=3, analog_settling_s=1.0, refine_steps=3
+        )
+        shares = cost.apportion([1, 1, 1, 1])
+        # Largest remainder: 10 = 3 + 3 + 2 + 2 (ties to the earlier share);
+        # 3 dispatches over 4 callers are not rounded away to 0 each.
+        assert [s.dac_conversions for s in shares] == [3, 3, 2, 2]
+        assert [s.engine_dispatches for s in shares] == [1, 1, 1, 0]
+        assert all(isinstance(s.dac_conversions, int) for s in shares)
+        assert [s.analog_settling_s for s in shares] == [pytest.approx(0.25)] * 4
+        uneven = cost.apportion([5, 0, 2])
+        assert [s.dac_conversions for s in uneven] == [7, 0, 3]
+        assert [s.refine_steps for s in uneven] == [2, 0, 1]
+        assert all(s == SolveCost() for s in cost.apportion([0, 0]))
 
     def test_accumulator_snapshot_delta(self):
         acc = CostAccumulator()

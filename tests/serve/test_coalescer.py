@@ -6,10 +6,14 @@ contract against the real engine lives in ``test_service.py``."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
+import pytest
 
 from repro.analog.topologies import AMCMode
 from repro.core.results import SolveResult
+from repro.obs.cost import SolveCost
 from repro.serve import ColumnRangingError, SolveRequest, TenantQuota, TenantRegistry
 from repro.serve.coalescer import coalesce
 from repro.system.stats import ServiceStats
@@ -43,7 +47,9 @@ class _FakeFuture:
 class _StubOperator:
     """Returns a crafted batched SolveResult; records call shapes."""
 
-    def __init__(self, key: str, n: int = 6, column_saturated=None, stable=True):
+    def __init__(
+        self, key: str, n: int = 6, column_saturated=None, stable=True, cost=None
+    ):
         self.key = key
         self.mode = AMCMode.INV
         self.shape = (n, n)
@@ -51,8 +57,9 @@ class _StubOperator:
         self.calls: list[tuple[int, ...]] = []
         self._column_saturated = column_saturated
         self._stable = stable
+        self._cost = cost
 
-    def solve(self, b: np.ndarray) -> SolveResult:
+    def solve(self, b: np.ndarray, rtol=None) -> SolveResult:
         self.calls.append(b.shape)
         k = b.shape[1]
         saturated = (
@@ -72,6 +79,7 @@ class _StubOperator:
             input_scales=np.arange(1, k + 1, dtype=float),
             per_column_attempts=np.full(k, 3),
             column_saturated=saturated,
+            cost=self._cost,
         )
 
     def eigvec(self) -> SolveResult:
@@ -80,6 +88,7 @@ class _StubOperator:
         return SolveResult(
             mode=AMCMode.EGV, value=vector, reference=vector, attempts=1,
             input_scale=1.0, stable=True, saturated=False, macro_ids=(0,),
+            cost=self._cost,
         )
 
 
@@ -90,7 +99,7 @@ def _registry() -> TenantRegistry:
     return registry
 
 
-def _req(tenant, operator, payload, kind="solve", require_in_range=True):
+def _req(tenant, operator, payload, kind="solve", require_in_range=True, rtol=None):
     payload = None if payload is None else np.asarray(payload, dtype=float)
     vector = payload is None or payload.ndim == 1
     columns = 1 if vector else payload.shape[1]
@@ -98,6 +107,7 @@ def _req(tenant, operator, payload, kind="solve", require_in_range=True):
         tenant=tenant, operator=operator, kind=kind, payload=payload,
         future=_FakeFuture(), columns=columns, vector=vector,
         require_in_range=require_in_range,
+        rtol=None if rtol is None else np.full(columns, rtol),
     )
 
 
@@ -212,3 +222,57 @@ def test_unstable_batch_fails_every_request():
         assert isinstance(request.future._exception, ColumnRangingError)
     assert registry.get("alice").counters.failed == 1
     assert registry.get("bob").counters.failed == 1
+
+
+_WINDOW_COST = SolveCost(
+    analog_settling_s=3e-6,
+    dac_conversions=1001,
+    adc_conversions=997,
+    engine_macs=65_537,
+    refine_macs=4_099,
+    engine_dispatches=3,
+    refine_steps=7,
+    cells_programmed=5,
+    write_pulses=11,
+)
+_INT_COUNTERS = [f.name for f in fields(SolveCost) if f.type == "int"]
+
+
+def test_scatter_apportions_every_integer_counter_exactly():
+    """Three engine dispatches shared by seven callers used to round to 0
+    each; the shares of every integer counter must sum to the window's."""
+    op = _StubOperator("d", cost=_WINDOW_COST)
+    requests = [
+        _req("alice", op, np.ones(6), rtol=1e-8),
+        _req("bob", op, np.ones((6, 3))),
+        _req("carol", op, np.ones(6)),
+        _req("alice", op, np.ones((6, 2)), rtol=1e-6),
+        _req("bob", op, np.ones(6), rtol=1e-10),
+        _req("carol", op, np.ones(6)),
+        _req("alice", op, np.ones(6)),
+    ]
+    for i, request in enumerate(requests):
+        request.queue_wait_s = 1e-3 * i
+    (batch,) = coalesce(requests)
+    batch.scatter(batch.execute(), _registry())
+    shares = [request.future._result.cost for request in requests]
+    for name in _INT_COUNTERS:
+        assert sum(getattr(share, name) for share in shares) == getattr(_WINDOW_COST, name), name
+        assert all(isinstance(getattr(share, name), int) for share in shares)
+    assert sum(share.engine_dispatches for share in shares) == 3
+    # Refinement is billed only to the callers that asked for an rtol.
+    for request, share in zip(requests, shares):
+        if request.rtol is None:
+            assert share.refine_macs == 0 and share.refine_steps == 0
+        assert share.queue_wait_s == request.queue_wait_s
+    assert sum(share.analog_settling_s for share in shares) == pytest.approx(3e-6)
+
+
+def test_eigvec_dedupe_apportions_the_one_settling():
+    op = _StubOperator("d", cost=_WINDOW_COST)
+    requests = [_req(t, op, None, kind="eigvec") for t in ("alice", "bob", "carol")]
+    (batch,) = coalesce(requests)
+    batch.scatter(batch.execute(), _registry())
+    shares = [request.future._result.cost for request in requests]
+    for name in _INT_COUNTERS:
+        assert sum(getattr(share, name) for share in shares) == getattr(_WINDOW_COST, name), name
