@@ -15,7 +15,7 @@ paper's Wishart test matrices, and checked explicitly here via the
 eigenvalues of the transient system matrix.
 
 An :class:`InvCircuit` is a *persistent* object: everything determined by
-the programmed conductances — the signed matrix, the LU factors of the
+the programmed conductances — the signed matrix, the inverse of the
 finite-gain equilibrium system, and the eigendecomposition of the loop's
 transient matrix ``M`` — is computed once and reused by every solve.  Only
 the input currents change between solves, and they may be matrix valued
@@ -25,7 +25,6 @@ the input currents change between solves, and they may be matrix valued
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.analog import determinism
 from repro.analog.blocks import InverterBank
@@ -71,7 +70,6 @@ class InvCircuit:
         self._signed: np.ndarray | None = None
         self._g_tot: np.ndarray | None = None
         self._i_offset: np.ndarray | None = None
-        self._lhs_lu = None
         self._lhs_inv: np.ndarray | None = None
         self._system0: LinearFeedbackSystem | None = None
 
@@ -134,16 +132,16 @@ class InvCircuit:
     # with static_solve (one factorization per circuit either way).
 
     def equilibrium_inverse(self) -> np.ndarray:
-        """Cached explicit inverse of the equilibrium system (CI path)."""
+        """Cached explicit inverse of the equilibrium system.
+
+        The one equilibrium kernel of both engine modes: a solve is a
+        matrix product against it, which the grid engine batches over
+        its whole diagonal stack.  Its rounding differs from an LU solve
+        only at the float64 level, far under the analog noise floor.
+        """
         if self._lhs_inv is None:
             self._lhs_inv = np.linalg.inv(self._equilibrium_lhs())
         return self._lhs_inv
-
-    def equilibrium_lu(self):
-        """Cached LU factors ``(lu, piv)`` of the equilibrium system."""
-        if self._lhs_lu is None:
-            self._lhs_lu = lu_factor(self._equilibrium_lhs())
-        return self._lhs_lu
 
     def offset_rhs(self) -> np.ndarray:
         """Static offset drive added to every equilibrium right-hand side."""
@@ -182,21 +180,18 @@ class InvCircuit:
         """Finite-gain equilibrium ``(G + diag(g_tot)/a0)·x = −i + offsets``.
 
         ``i_in`` may be a vector ``(n,)`` or a matrix ``(n, k)`` of input
-        currents — all columns share the circuit's one LU factorization
-        and one stability eigendecomposition.
+        currents — all columns share the circuit's one cached equilibrium
+        inverse and one stability eigendecomposition.
         """
         i_in = np.asarray(i_in, dtype=float)
         if i_in.shape[0] != self.n or i_in.ndim > 2:
             raise ValueError(f"expected {self.n} input currents (optionally batched)")
         offset_rhs = self.offset_rhs()
         rhs = -i_in + (offset_rhs[:, None] if i_in.ndim == 2 else offset_rhs)
-        if determinism.column_independent():
-            # Bitwise column-independent path for cross-request coalescing:
-            # an explicit inverse (one factorization per circuit) applied
-            # through the width-invariant einsum kernel.
-            x = determinism.apply_matrix(self.equilibrium_inverse(), rhs)
-        else:
-            x = lu_solve(self.equilibrium_lu(), rhs)
+        # Under the column-independent mode the product runs through the
+        # width-invariant einsum kernel (bitwise safe for cross-request
+        # coalescing); otherwise it is a plain BLAS product.
+        x = determinism.apply_matrix(self.equilibrium_inverse(), rhs)
         if noisy and self.params.noise_sigma > 0.0:
             x = x + self.rng.normal(0.0, self.params.noise_sigma, size=x.shape)
         clipped = self.params.saturate(x)

@@ -8,17 +8,18 @@ into a constant number of batched array kernels:
 * at programming time every resident tile's **cached circuit state** is
   copied into contiguous 3-D stacks — off-diagonal MVM tiles in one stack
   (conductance planes, node loading, amplifier offsets), diagonal INV
-  tiles in another (equilibrium inverse for the column-independent path,
-  LU factors bucketed by exact block size for the BLAS path, offset
-  drive, loop stability).  Ragged edge tiles are zero-padded; per-slot
-  valid row/column counts mask the padding wherever it could leak;
+  tiles in another (equilibrium inverse, offset drive, loop stability).
+  Ragged edge tiles are zero-padded; per-slot valid row/column counts
+  mask the padding wherever it could leak;
 * each sweep stage then runs **once over the whole stack**: the grid's
-  off-diagonal accumulation is one batched einsum (the stacked twin of
+  off-diagonal accumulation and all diagonal solves are each one
+  batched einsum (the stacked twin of
   :func:`repro.analog.determinism.apply_matrix` — bitwise identical per
-  column to the 2-D kernel) or one batched matmul, and all diagonal
-  solves are one batched ``scipy.linalg.lu_solve`` per size bucket (LU
-  factors cannot be zero-padded without perturbing the elimination, so
-  buckets keep the batched solve bit-exact);
+  column to the 2-D kernel) or one batched matmul.  The diagonal solve
+  applies each circuit's cached equilibrium inverse, the same kernel as
+  the per-tile :meth:`~repro.analog.inv.InvCircuit.static_solve` in both
+  engine modes; a zero-padded inverse leaves the valid rows exact, so a
+  ragged grid still needs one dispatch per stage;
 * the stacks are **version-aware**: each slice stores the residency key
   of the circuit it was copied from (register word sans ``g_f``,
   crossbar ``version``, partner fingerprint) and :meth:`GridEngine.refresh`
@@ -137,17 +138,6 @@ class GridEngine:
         self._diag_offset = np.zeros((d, self._diag_N))
         self._diag_vscale = np.zeros(d)
         self._diag_stable = np.ones(d, dtype=bool)
-        self._diag_sizes = np.zeros(d, dtype=int)
-        # LU factors are bucketed by exact block size (zero-padding an LU
-        # perturbs the elimination, so padded batched lu_solve would not
-        # be bit-exact); a uniform grid with one ragged edge yields two
-        # buckets, i.e. the batched-dispatch count stays O(1).
-        self._lu_buckets: dict[int, dict] = {}
-        # Expensive per-mode state (explicit inverse vs LU) is filled
-        # lazily: a workload that never leaves one determinism mode never
-        # pays the other mode's factorization copies.
-        self._diag_inv_dirty: set[int] = set(range(d))
-        self._diag_lu_dirty: set[int] = set(range(d))
         # Per-(slot-count, columns) scratch arrays reused across sweeps.
         self._stage_buffers: dict[tuple[int, int], dict[str, np.ndarray]] = {}
 
@@ -211,7 +201,6 @@ class GridEngine:
         n = circuit.n
         slot.rows = slot.cols = n
         slot.circuit, slot.key = circuit, key
-        self._diag_sizes[d] = n
         self._diag_offset[d] = 0.0
         self._diag_offset[d, :n] = circuit.offset_rhs()
         self._diag_vscale[d] = tile.mapping.value_scale
@@ -220,38 +209,8 @@ class GridEngine:
         # Warms the one cached eigendecomposition per programming event —
         # the same eig the first per-tile static_solve would trigger.
         self._diag_stable[d] = circuit.is_stable
-        self._diag_inv_dirty.add(d)
-        self._diag_lu_dirty.add(d)
-
-    def _ensure_diag_inv(self, indices) -> None:
-        for d in indices:
-            if d in self._diag_inv_dirty:
-                n = self._diag_sizes[d]
-                self._diag_inv[d] = 0.0
-                self._diag_inv[d, :n, :n] = self._diag_slots[d].circuit.equilibrium_inverse()
-                self._diag_inv_dirty.discard(d)
-
-    def _lu_bucket(self, n: int) -> dict:
-        bucket = self._lu_buckets.get(n)
-        if bucket is None:
-            members = [d for d in range(len(self._diag_slots)) if self._diag_sizes[d] == n]
-            bucket = self._lu_buckets[n] = {
-                "pos": {d: p for p, d in enumerate(members)},
-                "lu": np.zeros((len(members), n, n)),
-                "piv": np.zeros((len(members), n), dtype=np.int32),
-            }
-        return bucket
-
-    def _ensure_diag_lu(self, indices) -> None:
-        for d in indices:
-            if d in self._diag_lu_dirty:
-                n = int(self._diag_sizes[d])
-                lu, piv = self._diag_slots[d].circuit.equilibrium_lu()
-                bucket = self._lu_bucket(n)
-                pos = bucket["pos"][d]
-                bucket["lu"][pos] = lu
-                bucket["piv"][pos] = piv
-                self._diag_lu_dirty.discard(d)
+        self._diag_inv[d] = 0.0
+        self._diag_inv[d, :n, :n] = circuit.equilibrium_inverse()
 
     # --------------------------------------------------------------- sweeping
 
@@ -674,38 +633,16 @@ class GridEngine:
         g_f = np.array([slot.g_f for slot in slots])
         i_in = g_f[:, None, None] * v_in
         rhs_c = -i_in + self._diag_offset[indices][:, :, None]
-        if determinism.column_independent():
-            self._ensure_diag_inv(indices)
-            with trace.span(
-                "engine_dispatch",
-                kernel="batched_matmul",
-                slots=len(indices),
-                columns=k,
-            ):
-                xs = self._backend.batched_matmul(self._diag_inv[indices], rhs_c, True)
-            solver._record_dispatch(1)
-        else:
-            self._ensure_diag_lu(indices)
-            xs = np.zeros_like(rhs_c)
-            by_size: dict[int, list[int]] = {}
-            for p, d in enumerate(indices):
-                by_size.setdefault(int(self._diag_sizes[d]), []).append(p)
-            for n, positions in by_size.items():
-                bucket = self._lu_bucket(n)
-                rows = [bucket["pos"][indices[p]] for p in positions]
-                with trace.span(
-                    "engine_dispatch",
-                    kernel="batched_lu_solve",
-                    slots=len(positions),
-                    size=n,
-                    columns=k,
-                ):
-                    solved = self._backend.batched_lu_solve(
-                        bucket["lu"][rows], bucket["piv"][rows], rhs_c[positions][:, :n, :]
-                    )
-                solver._record_dispatch(1)
-                for p, block in zip(positions, solved):
-                    xs[p, :n] = block
+        with trace.span(
+            "engine_dispatch",
+            kernel="batched_matmul",
+            slots=len(indices),
+            columns=k,
+        ):
+            xs = self._backend.batched_matmul(
+                self._diag_inv[indices], rhs_c, determinism.column_independent()
+            )
+        solver._record_dispatch(1)
         if params.noise_sigma > 0.0:
             for t, slot in enumerate(slots):
                 xs[t, : slot.rows] += slot.tile.primary.rng.normal(

@@ -870,7 +870,7 @@ class AnalogOperator:
         """Matrix right-hand side through the INV loop in one engine call.
 
         The resident circuit's ``M`` is programming-frozen, so all ``k``
-        columns share one eigendecomposition and one LU factorization —
+        columns share one eigendecomposition and one equilibrium inverse —
         the simulated analogue of "the feedback loop settles once for the
         whole block".
         """

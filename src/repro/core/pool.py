@@ -321,8 +321,14 @@ class MacroPool:
         return owner in self._pinned
 
     def release(self, owner: str) -> None:
-        """Return an owner's macros to the free list (no callback fires)."""
+        """Return an owner's macros to the free list (no callback fires).
+
+        The released macros' cached circuits are dropped with them: the
+        next owner reprograms the macros, so the caches are dead state.
+        """
         indices = self._owners.pop(owner, [])
+        for i in indices:
+            self.macros[i].drop_resident_circuits()
         self._free.extend(i for i in indices if i not in self._quarantined)
         self._pinned.discard(owner)
         self._on_evict.pop(owner, None)

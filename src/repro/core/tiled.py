@@ -592,11 +592,12 @@ class TiledOperator:
         ``refine_residual_trace`` report the outcome; ``sweeps`` counts
         base and correction sweeps together.  A correction needs only
         the accuracy the grid delivers, so it stops once its relative
-        update falls under ``max(tolerance, residual_floor)`` of the base
-        solve — 3–4 sweeps, not a re-sweep until the stall detector
-        fires (on ``perfbench``'s ``solve_refined``: ~37 sweeps and ~430
-        dispatches per refined op instead of ~73 and ~860, same ~9
-        steps).  Raises
+        update falls — or, extrapolated geometrically from its last two
+        updates, is predicted to fall — under ``max(tolerance,
+        residual_floor)`` of the base solve: about 2 sweeps, not a third
+        that only confirms the prediction, nor a re-sweep until the
+        stall detector fires (on ``perfbench``'s ``solve_refined``: ~25
+        sweeps and ~280 dispatches over ~9 steps per refined op).  Raises
         :class:`~repro.core.errors.ConvergenceError` (step trace
         attached) when refinement diverges.
         """
@@ -701,7 +702,8 @@ class TiledOperator:
                 # A correction only needs the accuracy the analog grid can
                 # deliver (refinement contracts by that factor per step):
                 # sweeping past the floor the base solve just measured
-                # re-draws noise without improving the direction.
+                # re-draws noise without improving the direction, and
+                # ``_correction`` stops as soon as the floor is predicted.
                 correction_tolerance = max(tolerance, result.residual_floor)
 
                 def correction(residual: np.ndarray) -> SimpleNamespace:
@@ -710,7 +712,7 @@ class TiledOperator:
                     xc, csweeps, _ = self._run_sweeps(
                         residual, corr_stats,
                         tolerance=correction_tolerance, max_sweeps=max_sweeps,
-                        gauss_seidel=gauss_seidel, grid=grid,
+                        gauss_seidel=gauss_seidel, grid=grid, _correction=True,
                     )
                     correction_sweeps += csweeps
                     return SimpleNamespace(
@@ -752,13 +754,16 @@ class TiledOperator:
         max_sweeps: int,
         gauss_seidel: bool,
         grid: "GridEngine | None",
+        _correction: bool = False,
     ) -> tuple[np.ndarray, int, bool]:
         """One full blocked solve from a zero initial iterate.
 
         Shared by the base solve and every refinement correction (which
         re-solves the residual on the same resident grid).  Returns
         ``(x, sweeps, converged)``; ``stats`` accumulates the engine-call
-        diagnostics of this solve only.
+        diagnostics of this solve only.  A ``_correction`` solve also
+        stops once its *next* update is predicted under ``tolerance``
+        (see the loop), so it never spends a sweep only to observe it.
         """
         x = np.zeros_like(big_b)
 
@@ -815,6 +820,18 @@ class TiledOperator:
                 )
             relative_delta = delta / scale
             if relative_delta < tolerance:
+                converged = True
+                break
+            # A correction's updates contract geometrically, so the next
+            # one is predicted as u_s² / u_{s−1}.  Once that falls under
+            # the tolerance (the analog floor) another sweep would only
+            # re-draw noise to confirm it: stop now.  Needs two measured
+            # updates, so never before sweep 2.
+            if (
+                _correction
+                and sweep >= 2
+                and relative_delta * relative_delta < tolerance * previous_delta
+            ):
                 converged = True
                 break
             # Inexact analog steps bound the attainable accuracy at the

@@ -12,9 +12,10 @@ to/from problem units lives in :mod:`repro.core.solver`.
 **Persistent circuits.** The conductances are frozen between programming
 events, so each macro keeps the circuit model of its current configuration
 alive across solves: one conductance-plane read and (for the feedback
-topologies) one eigendecomposition/LU per programming event, shared by
-every subsequent ``compute_*`` call — including matrix-valued right-hand
-sides, which stream through the resident circuit in a single engine call.
+topologies) one eigendecomposition and factorization per programming
+event, shared by every subsequent ``compute_*`` call — including
+matrix-valued right-hand sides, which stream through the resident
+circuit in a single engine call.
 The cache invalidates itself whenever the circuit could have changed:
 programming (:meth:`program_targets` bumps the array's ``version``),
 reconfiguration (register word changes), or a partner macro doing either.
@@ -273,6 +274,15 @@ class AMCMacro:
         self._circuits[kind] = (key, circuit)
         return circuit
 
+    def drop_resident_circuits(self) -> None:
+        """Forget every cached circuit (eig, inverse and LU state).
+
+        Called when the pool takes the macro back: a released macro is
+        always reprogrammed before its next solve, which would rebuild
+        the circuits anyway, so until then they only hold memory.
+        """
+        self._circuits.clear()
+
     def _inverter_source(self, partner: "AMCMacro | None") -> "AMCMacro":
         return partner if self.layout is PlaneLayout.PAIRED_ARRAYS and partner else self
 
@@ -369,9 +379,9 @@ class AMCMacro:
         """One-step inversion: input voltages become currents via ``g_f``.
 
         ``b_values`` may be 1-D ``(n,)`` or 2-D ``(n, batch)`` — every
-        column shares the resident circuit's one LU factorization and one
-        stability eigendecomposition (``g_f`` scales only the inputs here,
-        so auto-ranging keeps the decomposition too).
+        column shares the resident circuit's one equilibrium inverse and
+        one stability eigendecomposition (``g_f`` scales only the inputs
+        here, so auto-ranging keeps the decomposition too).
         """
         circuit, _ = self.resident_inv_circuit(partner, noisy=noisy)
         v_in = self.dac.convert(b_values, noisy=noisy)

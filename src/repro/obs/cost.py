@@ -14,7 +14,7 @@ AMC/IMC literature):
 * **conversion** — DAC/ADC conversions at every analog tile boundary
   (mixed-signal; counted per column element per ranging attempt);
 * **digital engine** — multiply-accumulates executed by the digital
-  engine's batched kernels (the grid engine's stacked MVM/LU stages and
+  engine's batched kernels (the grid engine's stacked MVM/INV stages and
   the per-tile fallback), at ``DIGITAL_MACS_PER_CYCLE`` per cycle;
 * **refinement** — float64 residual/correction MACs of the iterative
   refinement loop (a subset of digital work, attributed separately
@@ -49,7 +49,7 @@ class SolveCost:
     adc_conversions: int = 0
     engine_macs: int = 0
     """Multiply-accumulates in the digital engine's kernels (MVM stages,
-    batched LU applies, digital accumulation)."""
+    batched equilibrium-inverse applies, digital accumulation)."""
     refine_macs: int = 0
     """Float64 MACs spent by iterative-refinement residuals/corrections."""
     engine_dispatches: int = 0

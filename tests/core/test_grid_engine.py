@@ -251,6 +251,23 @@ class TestDispatchScaling:
         assert result.engine_dispatches == 3 * result.sweeps - 2
         op.close()
 
+    def test_ragged_grid_diagonal_stage_is_one_dispatch(self):
+        """The diagonal stage applies zero-padded equilibrium inverses, so
+        the ragged trailing tile (100 = 3×32 + 4) joins the full tiles'
+        batched kernel in the default BLAS mode too: still 3 kernels per
+        Jacobi sweep, not one diagonal kernel per distinct tile size."""
+        rng = np.random.default_rng(11)
+        matrix = block_dominant(N, TILE, rng=rng)
+        b = rng.uniform(-1, 1, (N, 4))
+        solver = self._grid_solver()
+        with determinism.column_independent_apply(False):
+            op = solver.compile(matrix, AMCMode.INV)
+            assert op.block_slices[-1] == slice(96, 100)
+            result = op.solve(b, method="jacobi", engine="stacked")
+            op.close()
+        assert result.sweeps >= 2
+        assert result.engine_dispatches == 3 * result.sweeps - 2
+
     def test_pertile_dispatches_scale_with_tiles(self):
         rng = np.random.default_rng(11)
         matrix = block_dominant(128, TILE, rng=rng)

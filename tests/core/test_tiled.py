@@ -118,6 +118,33 @@ class TestDegenerateGrid:
         op.close()
 
 
+class TestReleasedCircuits:
+    def test_close_drops_the_cached_circuits(self, rng):
+        """A released macro is reprogrammed before it computes again, so
+        its cached circuits (eig, inverse) are dead state: closing the
+        grid must leave no macro holding one."""
+        solver = _solver()
+        matrix = block_dominant(96, 32, rng=rng)
+        op = solver.compile(matrix, AMCMode.INV)
+        op.solve(rng.uniform(-1, 1, (96, 4)))
+        holding = [m for m in solver.pool.macros if m._circuits]
+        assert len(holding) == op.block_count
+        op.close()
+        assert not any(m._circuits for m in solver.pool.macros)
+
+    def test_recompile_costs_one_eig_per_tile(self, rng):
+        solver = _solver()
+        matrix = block_dominant(96, 32, rng=rng)
+        b = rng.uniform(-1, 1, (96, 4))
+        for _ in range(2):
+            before = dynamics.eig_call_count()
+            op = solver.compile(matrix, AMCMode.INV)
+            op.solve(b)
+            # One eigendecomposition per diagonal INV tile; MVM tiles need none.
+            assert dynamics.eig_call_count() - before == op.grid[0]
+            op.close()
+
+
 class TestBatchedPipeline:
     def test_matrix_rhs_shares_resident_decompositions(self, rng):
         """A wider batch adds zero engine eigendecompositions: every
